@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-fast vet race bench bench-full bench-smoke bench-parallel mg-smoke batch-smoke greens-smoke kernel-smoke obs-smoke resume-smoke serve-smoke fleet-smoke loadbench profile figures faults-smoke examples clean
+.PHONY: all build test test-fast vet race bench bench-full bench-smoke bench-parallel mg-smoke batch-smoke greens-smoke kernel-smoke obs-smoke resume-smoke serve-smoke fleet-smoke fuzz-smoke loadbench profile figures faults-smoke examples clean
 
 all: build vet test
 
@@ -93,7 +93,10 @@ resume-smoke:
 # queue → batcher → artifact cache, and fail unless there are zero
 # errors, the cache was reused, batches formed, identical requests got
 # byte-identical bodies, app-mode responses match the figure pipeline,
-# and the serve metrics appear on the Prometheus scrape.
+# a default fast-path body omits the layer maxima while a field request
+# returns them (proc/DRAM0 entries equal to the default body's hotspots
+# bit for bit), and the serve metrics appear on
+# the Prometheus scrape.
 serve-smoke:
 	$(GO) run ./cmd/xylem serve-smoke -grid 16 -n 24 -width 4
 
@@ -103,6 +106,12 @@ serve-smoke:
 # unless the two final fleet reports are byte-identical.
 fleet-smoke:
 	$(GO) run ./cmd/xylem fleet-smoke -stacks 16 -events 64 -seed 7
+
+# CI gate for the wire decoder: a short fuzz pass of the xylemd request
+# strict-decode plus validation, starting from the seed corpus in
+# internal/serve/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s
 
 # Serving load benchmark: closed- and open-loop phases with
 # deterministic seeded arrivals and mixed tenants against fresh daemons

@@ -129,6 +129,54 @@ func cmdServeSmoke(args []string) error {
 		return fmt.Errorf("serve-smoke: repeat request not served from cache (X-Xylem-Cache %q)", cacheState)
 	}
 
+	// Layer maxima come only with the field: a default fast-path body
+	// carries none (its GEMV rebuilt only the two hotspot layers), and a
+	// field request returns one maximum per stack layer whose proc metal
+	// and DRAM die 0 entries equal the default body's hotspots bit for
+	// bit.
+	fastReq := gen.request(0, true)
+	defBody, _, _, status, err := postRaw(client, url, fastReq)
+	if err != nil || status != http.StatusOK {
+		return fmt.Errorf("serve-smoke: default fast-path request: status %d, err %v", status, err)
+	}
+	if bytes.Contains(defBody, []byte(`"layer_max_c"`)) {
+		return fmt.Errorf("serve-smoke: default fast-path body carries layer_max_c: %s", defBody)
+	}
+	fastReq.Field = true
+	optBody, _, _, status, err := postRaw(client, url, fastReq)
+	if err != nil || status != http.StatusOK {
+		return fmt.Errorf("serve-smoke: field fast-path request: status %d, err %v", status, err)
+	}
+	var defResp, optResp serve.SolveResponse
+	if err := json.Unmarshal(defBody, &defResp); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(optBody, &optResp); err != nil {
+		return err
+	}
+	kind, _ := stack.ParseScheme(fastReq.Scheme)
+	scfg := core.DefaultConfig().Stack
+	scfg.GridRows, scfg.GridCols = *grid, *grid
+	fastSt, err := stack.Build(scfg, kind)
+	if err != nil {
+		return err
+	}
+	if got, want := len(optResp.LayerMaxC), len(fastSt.Model.Layers); got != want {
+		return fmt.Errorf("serve-smoke: field body has %d maxima, stack has %d layers", got, want)
+	}
+	for _, c := range []struct {
+		what string
+		max  float64
+		hot  float64
+	}{
+		{"proc", optResp.LayerMaxC[fastSt.ProcMetalLayer], defResp.ProcHotC},
+		{"DRAM0", optResp.LayerMaxC[fastSt.DRAMMetalLayers[0]], defResp.DRAM0HotC},
+	} {
+		if math.Float64bits(c.max) != math.Float64bits(c.hot) {
+			return fmt.Errorf("serve-smoke: %s layer maximum %v != default body's hotspot %v", c.what, c.max, c.hot)
+		}
+	}
+
 	// Agreement with the figure pipeline: an app-mode request must match
 	// core.System.EvaluateUniform at the same operating point.
 	const appName, appFreq, appInstr = "lu-nas", 2.4, 60000
@@ -200,7 +248,7 @@ func cmdServeSmoke(args []string) error {
 		}
 	}
 
-	fmt.Printf("serve-smoke: OK — %d requests, %d batches (mean width %.2f), %d cache hits, app-mode matches figure pipeline\n",
-		st.Responses, st.Batches, st.MeanBatchWidth, st.CacheHits)
+	fmt.Printf("serve-smoke: OK — %d requests, %d batches (mean width %.2f), %d cache hits, app-mode matches figure pipeline, layer maxima only with the field (%d layers)\n",
+		st.Responses, st.Batches, st.MeanBatchWidth, st.CacheHits, len(optResp.LayerMaxC))
 	return nil
 }

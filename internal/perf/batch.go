@@ -93,10 +93,10 @@ func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []
 	var oracleEnt *greensEntry
 	switch e.FastPath {
 	case FastPathOn:
-		ent, gerr := e.greensFor(ctx, st)
+		ent, gerr := e.greensFor(ctx, st, sl)
 		if gerr == nil {
 			for i, pt := range pts {
-				out, ferr := e.greensFixedPoint(ctx, st, sl, ent, pt.Freqs, pt.Res)
+				out, ferr := e.greensFixedPoint(ctx, st, sl, ent, pt.Freqs, pt.Res, nil)
 				if ferr != nil {
 					return nil, ferr
 				}
@@ -109,7 +109,7 @@ func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []
 		}
 		fellBack = true
 	case FastPathOracle:
-		ent, gerr := e.greensFor(ctx, st)
+		ent, gerr := e.greensFor(ctx, st, sl)
 		if gerr == nil {
 			oracleEnt = ent
 		} else {
@@ -250,7 +250,7 @@ func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []
 	// batched CG outcomes on agreement within OracleTolC.
 	if oracleEnt != nil {
 		for i, pt := range pts {
-			fast, ferr := e.greensFixedPoint(ctx, st, sl, oracleEnt, pt.Freqs, pt.Res)
+			fast, ferr := e.greensFixedPoint(ctx, st, sl, oracleEnt, pt.Freqs, pt.Res, nil)
 			if ferr != nil {
 				return nil, ferr
 			}

@@ -87,11 +87,20 @@ func (e *Evaluator) SolveBatch(ctx context.Context, st *stack.Stack, pms []therm
 // cell instead of a Krylov solve. The basis is built (singleflight,
 // counted in BasisBuilds) on first use for the stack's content key.
 func (e *Evaluator) SolveGreens(ctx context.Context, st *stack.Stack, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.Temperature, error) {
-	ent, err := e.greensFor(ctx, st)
+	return e.SolveGreensLayers(ctx, st, procBP, sliceP, nil)
+}
+
+// SolveGreensLayers is SolveGreens reconstructing only the listed layers
+// (thermal.Solver.GreensLayers): the returned field holds those layers,
+// each bit-identical to SolveGreens's, and nil elsewhere. A nil list
+// means every layer. A caller that reads two layers of a 29-layer stack
+// pays for two layers' GEMV instead of twenty-nine.
+func (e *Evaluator) SolveGreensLayers(ctx context.Context, st *stack.Stack, procBP []power.BlockPower, sliceP []power.SlicePower, layers []int) (thermal.Temperature, error) {
+	sl, err := e.slot(st)
 	if err != nil {
 		return nil, err
 	}
-	sl, err := e.slot(st)
+	ent, err := e.greensFor(ctx, st, sl)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +109,7 @@ func (e *Evaluator) SolveGreens(ctx context.Context, st *stack.Stack, procBP []p
 		return nil, err
 	}
 	sl.mu.Lock()
-	temps, err := sl.s.GreensField(ent.gb, p)
+	temps, err := sl.s.GreensLayers(ent.gb, p, layers)
 	sl.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -115,7 +124,10 @@ func (e *Evaluator) SolveGreens(ctx context.Context, st *stack.Stack, procBP []p
 // serving daemon exposes. Unlike ThermalWarmCtx with FastPathOn there
 // is no silent CG fallback: a stack whose basis cannot be built returns
 // the build error, so the caller knows the query was never served.
-func (e *Evaluator) ThermalFastCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result) (Outcome, error) {
+// layers selects the layers the outcome's Temps reconstructs: nil means
+// every layer; a list must include the proc metal layer and DRAM die
+// 0's metal layer, which the outcome's hotspots read.
+func (e *Evaluator) ThermalFastCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result, layers []int) (Outcome, error) {
 	if res.TimeNs <= 0 {
 		return Outcome{}, fmt.Errorf("perf: activity has zero duration")
 	}
@@ -126,9 +138,9 @@ func (e *Evaluator) ThermalFastCtx(ctx context.Context, st *stack.Stack, freqs [
 	if err != nil {
 		return Outcome{}, err
 	}
-	ent, err := e.greensFor(ctx, st)
+	ent, err := e.greensFor(ctx, st, sl)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return e.greensFixedPoint(ctx, st, sl, ent, freqs, res)
+	return e.greensFixedPoint(ctx, st, sl, ent, freqs, res, layers)
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/xylem-sim/xylem/internal/cpusim"
 	"github.com/xylem-sim/xylem/internal/geom"
@@ -222,7 +223,7 @@ func (e *Evaluator) bases() map[string]*basisCall {
 // build runs on the stack's cached solver under its slot lock, at the
 // solver's own tolerance and preconditioner.
 func (e *Evaluator) GreensBasisFor(ctx context.Context, st *stack.Stack) (*thermal.GreensBasis, error) {
-	ent, err := e.greensFor(ctx, st)
+	ent, err := e.greensFor(ctx, st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -247,12 +248,26 @@ func (e *Evaluator) InstallBasis(st *stack.Stack, gb *thermal.GreensBasis) error
 	return nil
 }
 
+// basisKey is the stack's BasisKey, hashed on the slot's first call
+// and memoised for every later one.
+func (sl *solverSlot) basisKey(st *stack.Stack) string {
+	sl.keyOnce.Do(func() { sl.key = BasisKey(st) })
+	return sl.key
+}
+
 // greensFor is the singleflight core behind GreensBasisFor: resolve the
 // stack's content key, join an in-flight build if one exists, otherwise
 // build and publish. A failed build is removed before its waiters wake
-// so a later request retries rather than caching the failure.
-func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack) (*greensEntry, error) {
-	key := BasisKey(st)
+// so a later request retries rather than caching the failure. sl, when
+// non-nil, is the stack's solver slot, whose memoised key spares a
+// per-query hash of the stack.
+func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack, sl *solverSlot) (*greensEntry, error) {
+	var key string
+	if sl != nil {
+		key = sl.basisKey(st)
+	} else {
+		key = BasisKey(st)
+	}
 	e.mu.Lock()
 	cache := e.bases()
 	if call, ok := cache[key]; ok {
@@ -343,11 +358,18 @@ func (ent *greensEntry) powerCoeffs(st *stack.Stack, procBP []power.BlockPower, 
 // greensFixedPoint runs the temperature-dependent leakage fixed point on
 // the reduced model: per iteration one layer-restricted GEMV rebuilds
 // the proc metal layer (the only layer the leakage functionals read),
-// and after convergence one full-field GEMV reconstructs the complete
-// temperature field for the outcome. Convergence bookkeeping — hotspot
-// delta, ConvergeC semantics, LeakageIters budget — replays
-// ThermalWarmCtx exactly; only the linear-solve step differs.
-func (e *Evaluator) greensFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, ent *greensEntry, freqs []float64, res cpusim.Result) (Outcome, error) {
+// and after convergence one more GEMV reconstructs the outcome's field
+// from the final coefficients: every layer when layers is nil (the
+// pipeline's callers), otherwise only the listed layers, which must
+// include the proc metal layer and DRAM die 0's metal layer that the
+// outcome's hotspots read. Convergence bookkeeping — hotspot delta,
+// ConvergeC semantics, LeakageIters budget — replays ThermalWarmCtx
+// exactly; only the linear-solve step differs.
+func (e *Evaluator) greensFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, ent *greensEntry, freqs []float64, res cpusim.Result, layers []int) (Outcome, error) {
+	if layers != nil && !(slices.Contains(layers, st.ProcMetalLayer) && slices.Contains(layers, st.DRAMMetalLayers[0])) {
+		return Outcome{}, fmt.Errorf("perf: fast-path layers %v omit proc metal layer %d or DRAM0 metal layer %d",
+			layers, st.ProcMetalLayer, st.DRAMMetalLayers[0])
+	}
 	gb := ent.gb
 	nLayers := len(st.Model.Layers)
 	layerBuf := make([]float64, st.Model.Grid.NumCells())
@@ -422,14 +444,23 @@ func (e *Evaluator) greensFixedPoint(ctx context.Context, st *stack.Stack, sl *s
 		prevHot = hot
 	}
 
-	// One full-field reconstruction from the final coefficients — the
-	// same field the CG path's last solve would have produced, up to
-	// solver tolerance.
+	// One reconstruction from the final coefficients — the same field
+	// the CG path's last solve would have produced, up to solver
+	// tolerance, on the layers asked for. The last iteration already
+	// rebuilt the proc metal layer from these coefficients, so a layer
+	// list reuses it instead of running its GEMV again.
+	rest := layers
+	if layers != nil && itersUsed > 0 {
+		rest = slices.DeleteFunc(slices.Clone(layers), func(li int) bool { return li == st.ProcMetalLayer })
+	}
 	sl.mu.Lock()
-	temps, err := sl.s.GreensField(gb, p)
+	temps, err := sl.s.GreensLayers(gb, p, rest)
 	sl.mu.Unlock()
 	if err != nil {
 		return Outcome{}, err
+	}
+	if layers != nil && itersUsed > 0 {
+		temps[st.ProcMetalLayer] = layerBuf
 	}
 	d0, _ := temps.Max(st.DRAMMetalLayers[0])
 	out.DRAM0HotC = d0

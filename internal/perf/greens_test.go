@@ -3,9 +3,11 @@ package perf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/floorplan"
+	"github.com/xylem-sim/xylem/internal/power"
 	"github.com/xylem-sim/xylem/internal/stack"
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
@@ -311,5 +313,75 @@ func TestInstallBasisValidates(t *testing.T) {
 	}
 	if d := ev.Stats().Sub(before); d.BasisBuilds != 0 {
 		t.Fatalf("installed basis was rebuilt (%d builds)", d.BasisBuilds)
+	}
+}
+
+// testPowers is a deterministic explicit power assignment for st: every
+// proc block and every DRAM die's background draw something different.
+func testPowers(st *stack.Stack) ([]power.BlockPower, []power.SlicePower) {
+	bp := make([]power.BlockPower, len(st.Proc.Blocks))
+	for i, b := range st.Proc.Blocks {
+		bp[i] = power.BlockPower{Name: b.Name, Watts: 0.05 + 0.01*float64(i%7)}
+	}
+	sp := make([]power.SlicePower, st.Cfg.NumDRAMDies)
+	for s := range sp {
+		sp[s].BackgroundW = 0.3 + 0.05*float64(s)
+	}
+	return bp, sp
+}
+
+// The slot's memoised basis key must not pin a basis: once a query has
+// resolved the built basis, installing another basis for the same stack
+// must serve the next query from the installed one, and a reinstall of
+// the original must serve the original answer bit for bit.
+func TestGreensQueryFollowsInstall(t *testing.T) {
+	st := smallStack(t, stack.Bank)
+	bp, sp := testPowers(st)
+	ev := NewEvaluator()
+	first, err := ev.SolveGreens(t.Context(), st, bp, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := ev.GreensBasisFor(t.Context(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A zero basis answers every query with the uniform ambient field.
+	zero := *built
+	zero.G = make([]float64, len(built.G))
+	if err := ev.InstallBasis(st, &zero); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ev.SolveGreens(t.Context(), st, bp, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hot, _ := got.Max(st.ProcMetalLayer); hot != st.Model.Ambient {
+		t.Fatalf("after install: proc hotspot %v, want the installed zero basis's ambient %v", hot, st.Model.Ambient)
+	}
+
+	if err := ev.InstallBasis(st, built); err != nil {
+		t.Fatal(err)
+	}
+	layers := []int{st.ProcMetalLayer, st.DRAMMetalLayers[0]}
+	again, err := ev.SolveGreensLayers(t.Context(), st, bp, sp, layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := range first {
+		if !slices.Contains(layers, li) {
+			if again[li] != nil {
+				t.Fatalf("layer %d reconstructed but not asked for", li)
+			}
+			continue
+		}
+		for c, v := range first[li] {
+			if math.Float64bits(again[li][c]) != math.Float64bits(v) {
+				t.Fatalf("layer %d cell %d: reinstalled basis gave %v, first answer %v", li, c, again[li][c], v)
+			}
+		}
+	}
+	if n := ev.Stats().BasisBuilds; n != 1 {
+		t.Fatalf("%d basis builds; want the first query's one", n)
 	}
 }

@@ -194,6 +194,12 @@ func (e *Evaluator) ShareActivityCache(src *Evaluator) {
 type solverSlot struct {
 	mu sync.Mutex
 	s  *thermal.Solver
+	// key memoises the stack's BasisKey, hashed once on the slot's first
+	// fast-path query (basisKey in greens.go). A slot is keyed by its
+	// *stack.Stack, whose content the cached solver already assumes
+	// fixed, so the key cannot go stale.
+	keyOnce sync.Once
+	key     string
 }
 
 // NewEvaluator returns an evaluator with the paper's architecture.
@@ -444,7 +450,8 @@ type Outcome struct {
 	// CoreHotC is each core's own hotspot on the processor's active
 	// layer — the per-core view λ-aware policies act on.
 	CoreHotC []float64
-	// Temps is the full temperature field (layer-major).
+	// Temps is the full temperature field (layer-major). ThermalFastCtx
+	// with a layer list fills only the listed layers; the rest are nil.
 	Temps thermal.Temperature
 	// Result is the underlying simulation activity.
 	Result cpusim.Result
@@ -651,9 +658,9 @@ func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs [
 	fellBack := false
 	switch e.FastPath {
 	case FastPathOn:
-		ent, gerr := e.greensFor(ctx, st)
+		ent, gerr := e.greensFor(ctx, st, sl)
 		if gerr == nil {
-			return e.greensFixedPoint(ctx, st, sl, ent, freqs, res)
+			return e.greensFixedPoint(ctx, st, sl, ent, freqs, res, nil)
 		}
 		if ctx.Err() != nil {
 			return Outcome{}, gerr
@@ -662,7 +669,7 @@ func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs [
 		// count the fallback solves.
 		fellBack = true
 	case FastPathOracle:
-		ent, gerr := e.greensFor(ctx, st)
+		ent, gerr := e.greensFor(ctx, st, sl)
 		if gerr != nil {
 			if ctx.Err() != nil {
 				return Outcome{}, gerr
@@ -670,7 +677,7 @@ func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs [
 			fellBack = true
 			break
 		}
-		fast, ferr := e.greensFixedPoint(ctx, st, sl, ent, freqs, res)
+		fast, ferr := e.greensFixedPoint(ctx, st, sl, ent, freqs, res, nil)
 		if ferr != nil {
 			return Outcome{}, ferr
 		}

@@ -465,8 +465,18 @@ func (s *Server) servePowerCG(ent *Entry, pds []*pending, deliver func(*pending,
 	}
 }
 
+// responseLayers lists the layers a fast-path request's response reads,
+// so the GEMV reconstructs only those: nil (every layer) when it asks
+// for the field, else the two hotspot layers.
+func responseLayers(req *SolveRequest, st *stack.Stack) []int {
+	if req.Field {
+		return nil
+	}
+	return []int{st.ProcMetalLayer, st.DRAMMetalLayers[0]}
+}
+
 // servePowerFast serves explicit-power requests from the Green's basis,
-// one GEMV each.
+// one GEMV each over the layers the response reads.
 func (s *Server) servePowerFast(ent *Entry, pds []*pending, deliver func(*pending, *SolveResponse, error)) {
 	st := ent.Stack
 	for _, pd := range pds {
@@ -476,7 +486,7 @@ func (s *Server) servePowerFast(ent *Entry, pds []*pending, deliver func(*pendin
 			deliver(pd, nil, err)
 			continue
 		}
-		temps, err := ent.Ev.SolveGreens(s.ctx, st, procBP, sliceP)
+		temps, err := ent.Ev.SolveGreensLayers(s.ctx, st, procBP, sliceP, responseLayers(pd.req, st))
 		if err != nil {
 			deliver(pd, nil, err)
 			continue
@@ -521,7 +531,7 @@ func (s *Server) serveApp(ent *Entry, pds []*pending, fast bool, deliver func(*p
 	}
 	if fast {
 		for j, pd := range kept {
-			out, err := ent.Ev.ThermalFastCtx(s.ctx, st, pts[j].Freqs, pts[j].Res)
+			out, err := ent.Ev.ThermalFastCtx(s.ctx, st, pts[j].Freqs, pts[j].Res, responseLayers(pd.req, st))
 			if err != nil {
 				deliver(pd, nil, err)
 				continue
@@ -544,8 +554,13 @@ func (s *Server) serveApp(ent *Entry, pds []*pending, fast bool, deliver func(*p
 	}
 }
 
-// layerMaxes summarises a field as one max temperature per layer.
-func layerMaxes(st *stack.Stack, temps thermal.Temperature) []float64 {
+// layerMaxes summarises a field as one max temperature per layer, or
+// nil when the request did not ask for the field: the same rule on every
+// mode and path, so a response's shape never depends on the path taken.
+func layerMaxes(req *SolveRequest, temps thermal.Temperature) []float64 {
+	if !req.Field {
+		return nil
+	}
 	out := make([]float64, len(temps))
 	for li := range temps {
 		out[li], _ = temps.Max(li)
@@ -563,7 +578,7 @@ func powerResponse(req *SolveRequest, st *stack.Stack, temps thermal.Temperature
 		Mode:       req.Mode,
 		ProcHotC:   procHot,
 		DRAM0HotC:  dram0,
-		LayerMaxC:  layerMaxes(st, temps),
+		LayerMaxC:  layerMaxes(req, temps),
 		ProcPowerW: procW,
 		DRAMPowerW: dramW,
 	}
@@ -581,7 +596,7 @@ func appResponse(req *SolveRequest, st *stack.Stack, out perf.Outcome) *SolveRes
 		Mode:           req.Mode,
 		ProcHotC:       out.ProcHotC,
 		DRAM0HotC:      out.DRAM0HotC,
-		LayerMaxC:      layerMaxes(st, out.Temps),
+		LayerMaxC:      layerMaxes(req, out.Temps),
 		ProcPowerW:     out.ProcPowerW,
 		DRAMPowerW:     out.DRAMPowerW,
 		CoreHotC:       out.CoreHotC,
@@ -662,15 +677,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sp := s.m.trace.Start("serve.request")
 	start := time.Now()
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	req := &SolveRequest{}
-	if err := dec.Decode(req); err != nil {
-		s.writeError(w, badReq("body", "%v", err))
-		sp.End(obs.A("ok", 0))
-		return
-	}
-	if err := req.Validate(); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		s.writeError(w, err)
 		sp.End(obs.A("ok", 0))
 		return

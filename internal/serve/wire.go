@@ -21,8 +21,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -108,8 +110,10 @@ type SolveRequest struct {
 	// GEMV instead of a CG solve; the basis is built and cached on
 	// first use).
 	FastPath bool `json:"fastpath,omitempty"`
-	// Field includes the full layer-major temperature field in the
-	// response.
+	// Field includes the full layer-major temperature field, and one
+	// maximum per stack layer (layer_max_c), in the response. Without it
+	// a fast-path request reconstructs only the two layers proc_hot_c
+	// and dram0_hot_c read.
 	Field bool `json:"field,omitempty"`
 }
 
@@ -122,9 +126,11 @@ type SolveResponse struct {
 	Grid   int    `json:"grid"`
 	Mode   string `json:"mode"`
 
-	ProcHotC   float64   `json:"proc_hot_c"`
-	DRAM0HotC  float64   `json:"dram0_hot_c"`
-	LayerMaxC  []float64 `json:"layer_max_c"`
+	ProcHotC  float64 `json:"proc_hot_c"`
+	DRAM0HotC float64 `json:"dram0_hot_c"`
+	// LayerMaxC is one maximum per stack layer, present only when the
+	// request set Field.
+	LayerMaxC  []float64 `json:"layer_max_c,omitempty"`
 	ProcPowerW float64   `json:"proc_power_w"`
 	DRAMPowerW float64   `json:"dram_power_w"`
 
@@ -224,6 +230,21 @@ func (r *SolveRequest) Validate() error {
 		return badReq("mode", "unknown mode %q (want %q or %q)", r.Mode, ModePower, ModeApp)
 	}
 	return nil
+}
+
+// decodeRequest strictly decodes one wire request (unknown fields are a
+// 400, not silently dropped) and validates it.
+func decodeRequest(body io.Reader) (*SolveRequest, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	req := &SolveRequest{}
+	if err := dec.Decode(req); err != nil {
+		return nil, badReq("body", "%v", err)
+	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
 // blockPowers canonicalises the proc power map into a sorted

@@ -309,6 +309,30 @@ func (s *Solver) GreensField(gb *GreensBasis, p []float64) (Temperature, error) 
 	return s.fieldFromVector(x), nil
 }
 
+// GreensLayers reconstructs only the listed layers for the block-power
+// coefficients p: a sparse field whose listed layers hold the same
+// cells, bit for bit, as GreensField's (each is GreensApplyLayer's span
+// of the same GEMV) and whose other layers are nil. Max, MeanOver and
+// MaxOver index only the layer they are asked about, so a caller that
+// reads just the listed layers pays for len(layers) of the stack's
+// layers instead of all of them. A duplicate layer is recomputed to the
+// same bits; a nil list means every layer and returns GreensField's
+// full field.
+func (s *Solver) GreensLayers(gb *GreensBasis, p []float64, layers []int) (Temperature, error) {
+	if layers == nil {
+		return s.GreensField(gb, p)
+	}
+	out := make(Temperature, len(s.m.Layers))
+	for _, li := range layers {
+		layer := make([]float64, s.nPerLayer)
+		if err := s.GreensApplyLayer(gb, p, li, layer); err != nil {
+			return nil, err
+		}
+		out[li] = layer
+	}
+	return out, nil
+}
+
 // EncodeGreensBasis appends the basis to e in raw IEEE-754 bits, so a
 // persisted basis reproduces queries bit for bit after a reload.
 func EncodeGreensBasis(e *ckpt.Enc, gb *GreensBasis) {

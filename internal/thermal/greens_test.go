@@ -112,6 +112,58 @@ func TestGreensApplyLayerMatchesFull(t *testing.T) {
 	}
 }
 
+// GreensLayers must return exactly the listed layers of GreensApply's
+// field, bit for bit, at any Workers setting. Layers here hold more than
+// one GEMV chunk of cells and enough work per layer that the chunked
+// parallel path engages at Workers 4.
+func TestGreensLayersMatchesApply(t *testing.T) {
+	m := slabModel(96, 96, 3, 100e-6, 120, 25000)
+	s, err := NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.DefaultPrecond = PrecondMG
+	srcs := greensTestSources(m, 0, 24)
+	gb, err := s.BuildGreensBasis(context.Background(), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]float64, len(srcs))
+	for i := range p {
+		p[i] = 0.5 + 0.2*float64(i%5)
+	}
+	full := make([]float64, s.n)
+	if err := s.GreensApply(gb, p, full); err != nil {
+		t.Fatal(err)
+	}
+	nl := m.Grid.NumCells()
+	for _, workers := range []int{1, 4} {
+		ps := s.Clone()
+		ps.Workers = workers
+		// Layer 2 twice: a duplicate is recomputed to the same bits.
+		got, err := ps.GreensLayers(gb, p, []int{2, 0, 2})
+		ps.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(m.Layers) || got[1] != nil {
+			t.Fatalf("workers=%d: want a %d-layer field with layer 1 absent, got %d layers", workers, len(m.Layers), len(got))
+		}
+		for _, li := range []int{0, 2} {
+			for c, v := range got[li] {
+				if want := full[li*nl+c]; math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("workers=%d layer %d cell %d: %x != GreensApply %x", workers, li, c, math.Float64bits(v), math.Float64bits(want))
+				}
+			}
+		}
+	}
+	for _, bad := range [][]int{{-1}, {0, len(m.Layers)}} {
+		if _, err := s.GreensLayers(gb, p, bad); err == nil {
+			t.Fatalf("layers %v accepted", bad)
+		}
+	}
+}
+
 // The fused GEMV must be bitwise-deterministic at any Workers setting:
 // the model here is sized past the parallel threshold so the chunked
 // path actually engages.
