@@ -107,11 +107,13 @@ serve-smoke:
 fleet-smoke:
 	$(GO) run ./cmd/xylem fleet-smoke -stacks 16 -events 64 -seed 7
 
-# CI gate for the wire decoder: a short fuzz pass of the xylemd request
-# strict-decode plus validation, starting from the seed corpus in
-# internal/serve/testdata/fuzz.
+# CI gate for the untrusted-input decoders: a short fuzz pass of the
+# xylemd request strict-decode plus validation, then one of the .xygb
+# Green's-basis payload decoder, each starting from its seed corpus
+# (internal/serve/testdata/fuzz, internal/thermal/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s
+	$(GO) test ./internal/thermal -run '^$$' -fuzz '^FuzzDecodeGreensBasis$$' -fuzztime=10s
 
 # Serving load benchmark: closed- and open-loop phases with
 # deterministic seeded arrivals and mixed tenants against fresh daemons

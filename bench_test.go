@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -464,13 +465,18 @@ func BenchmarkFusedReduction(b *testing.B) {
 }
 
 // BenchmarkGreensApply prices one reduced-order steady-state serve — the
-// fused GEMV T = T_amb + G·p over the per-block Green's basis — against
-// the full CG solve it replaces (BenchmarkThermalSteadyState at the same
-// grid). The workers sub-benchmarks pin the determinism contract's cost:
-// the chunked kernel must scale without changing a single bit of the
-// result (see internal/thermal/greens_test.go), so any speedup here is
-// free. The basis precompute is excluded; it is priced once by `xylem
-// parbench` as the greens config's basis_build_s.
+// GEMV T = T_amb + G·p over the per-block Green's basis — against the
+// full CG solve it replaces (BenchmarkThermalSteadyState at the same
+// grid). Two coefficient shapes: dense powers every column; serve powers
+// what a xylemd power request does (every proc block, DRAM die 0's
+// background and four of its banks), and the kernel reads only powered
+// columns, so b.SetBytes reports the basis bytes actually read. The
+// layer case is the serving daemon's per-layer reconstruction (proc
+// metal layer). The workers sub-benchmarks pin the determinism
+// contract's cost: the chunked kernel must scale without changing a
+// single bit of the result (see internal/thermal/greens_test.go), so any
+// speedup here is free. The basis precompute is excluded; it is priced
+// once by `xylem parbench` as the greens config's basis_build_s.
 func BenchmarkGreensApply(b *testing.B) {
 	grids := []int{24, 64}
 	if testing.Short() {
@@ -497,16 +503,50 @@ func BenchmarkGreensApply(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer solver.Close()
-		p := make([]float64, gb.B)
-		for i := range p {
-			p[i] = 0.5 + 0.25*float64(i%4)
+		dense := make([]float64, gb.B)
+		for i := range dense {
+			dense[i] = 0.5 + 0.25*float64(i%4)
 		}
-		x := make([]float64, gb.Cells())
-		for _, workers := range workerCounts {
-			b.Run(fmt.Sprintf("grid%d/workers%d", n, workers), func(b *testing.B) {
-				solver.Workers = workers
+		serve := make([]float64, gb.B)
+		banks := 0
+		for i, name := range gb.Names {
+			isBank := strings.HasPrefix(name, "dram0:bank_")
+			if strings.HasPrefix(name, "proc:") || name == "dram0:bg" || (isBank && banks < 4) {
+				serve[i] = dense[i]
+			}
+			if isBank {
+				banks++
+			}
+		}
+		cells := gb.Cells()
+		x := make([]float64, cells)
+		layer := make([]float64, cells/gb.Layers)
+		for _, shape := range []struct {
+			name string
+			p    []float64
+		}{{"dense", dense}, {"serve", serve}} {
+			powered := 0
+			for _, v := range shape.p {
+				if v != 0 {
+					powered++
+				}
+			}
+			for _, workers := range workerCounts {
+				b.Run(fmt.Sprintf("grid%d/%s/workers%d", n, shape.name, workers), func(b *testing.B) {
+					solver.Workers = workers
+					b.SetBytes(int64(powered * cells * 8))
+					for i := 0; i < b.N; i++ {
+						if err := solver.GreensApply(gb, shape.p, x); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+			b.Run(fmt.Sprintf("grid%d/%s/layer", n, shape.name), func(b *testing.B) {
+				solver.Workers = 1
+				b.SetBytes(int64(powered * len(layer) * 8))
 				for i := 0; i < b.N; i++ {
-					if err := solver.GreensApply(gb, p, x); err != nil {
+					if err := solver.GreensApplyLayer(gb, shape.p, st.ProcMetalLayer, layer); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -24,8 +24,11 @@ import (
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
-// greensBasisMagic heads every persisted basis file.
-const greensBasisMagic = "XYGB1"
+// greensBasisMagic heads every persisted basis file. The digit is the
+// layout version: XYGB1 files stored G cell-major, XYGB2 column-major,
+// so a file of the old layout fails the magic check (ErrCkptMismatch)
+// and is rebuilt instead of being misread.
+const greensBasisMagic = "XYGB2"
 
 // fastPathMode normalises Options.FastPath to its canonical spelling
 // ("" and "off" are the same mode and must sign identically).

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/stack"
+	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
 // fastPathOpts is the reduced configuration the fast-path sweep tests
@@ -68,9 +70,9 @@ func TestFastPathSweepTables(t *testing.T) {
 
 // Persisted bases: a checkpointed fast-path run writes one basis file
 // per scheme, a rerun loads them instead of rebuilding, and a stale
-// file — a different stack content under the same path — is rejected
-// with ErrCkptMismatch by the loader and transparently rebuilt by the
-// runner.
+// file — a different stack content, or the old XYGB1 layout, under the
+// same path — is rejected with ErrCkptMismatch by the loader and
+// transparently rebuilt by the runner.
 func TestFastPathBasisPersistence(t *testing.T) {
 	dir := t.TempDir()
 	o := fastPathOpts()
@@ -98,7 +100,8 @@ func TestFastPathBasisPersistence(t *testing.T) {
 	if got := r2.Sys.Ev.Stats().BasisBuilds; got != 0 {
 		t.Fatalf("resumed run rebuilt %d bases", got)
 	}
-	if _, _, err := r2.Figure7(); err != nil {
+	_, tab2, err := r2.Figure7()
+	if err != nil {
 		t.Fatal(err)
 	}
 	st2 := r2.Sys.Ev.Stats()
@@ -149,6 +152,60 @@ func TestFastPathBasisPersistence(t *testing.T) {
 	}
 	if _, err := LoadGreensBasis(path, key); err != nil {
 		t.Fatalf("rebuilt basis file unreadable: %v", err)
+	}
+
+	// A file of the old cell-major layout (magic XYGB1, G[i*B + b]) must
+	// never be misread as column-major: the loader rejects it with
+	// ErrCkptMismatch, the runner rebuilds that one basis and rewrites
+	// the file as XYGB2, and the sweep served from it renders the same
+	// table.
+	old := *built
+	n := built.Cells()
+	old.G = make([]float64, len(built.G))
+	for b := 0; b < built.B; b++ {
+		for i := 0; i < n; i++ {
+			old.G[i*built.B+b] = built.G[b*n+i]
+		}
+	}
+	var e ckpt.Enc
+	e.Str("XYGB1")
+	e.Str(key)
+	thermal.EncodeGreensBasis(&e, &old)
+	if err := ckpt.WriteFileAtomicBytes(path, e.Data()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadGreensBasis(path, key); !errors.Is(err, ErrCkptMismatch) {
+		t.Fatalf("XYGB1 basis load returned %v, want ErrCkptMismatch", err)
+	}
+	r5, err := NewRunner(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r5.Sys.Ev.Stats().BasisBuilds; got != 1 {
+		t.Fatalf("rerun over an XYGB1 file built %d bases, want 1", got)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic := ckpt.NewDec(raw).Str(); magic != "XYGB2" {
+		t.Fatalf("rebuilt basis file has magic %q, want XYGB2", magic)
+	}
+	gb5, err := LoadGreensBasis(path, key)
+	if err != nil {
+		t.Fatalf("rewritten basis file unreadable: %v", err)
+	}
+	for i := range built.G {
+		if math.Float64bits(gb5.G[i]) != math.Float64bits(built.G[i]) {
+			t.Fatalf("rewritten coefficient %d differs from the first build", i)
+		}
+	}
+	_, tab5, err := r5.Figure7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab5.String() != tab2.String() {
+		t.Fatalf("table after the XYGB1 rebuild differs:\n%s\nvs\n%s", tab5, tab2)
 	}
 
 	// Garbage on disk must error, not decode.

@@ -231,10 +231,15 @@ func (e *Evaluator) GreensBasisFor(ctx context.Context, st *stack.Stack) (*therm
 }
 
 // InstallBasis hands the evaluator a prebuilt basis (typically decoded
-// from a checkpoint) for the stack, after validating it matches the
-// stack's model shape and source list. Subsequent fast-path queries for
-// any stack with the same BasisKey are served from it without a build.
+// from a checkpoint) for the stack, after validating it (finite
+// coefficients, consistent shape; GreensBasis.Validate) and checking it
+// matches the stack's model shape and source list. Subsequent fast-path
+// queries for any stack with the same BasisKey are served from it
+// without a build.
 func (e *Evaluator) InstallBasis(st *stack.Stack, gb *thermal.GreensBasis) error {
+	if err := gb.Validate(); err != nil {
+		return fmt.Errorf("perf: install basis: %w", err)
+	}
 	ent, err := newGreensEntry(st, gb)
 	if err != nil {
 		return err

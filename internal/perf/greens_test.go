@@ -303,6 +303,16 @@ func TestInstallBasisValidates(t *testing.T) {
 	if err := ev.InstallBasis(st16, bad); err == nil {
 		t.Fatal("basis with a foreign column set installed")
 	}
+	// A non-finite coefficient would turn a skipped zero-power column
+	// into a NaN the GEMV never sees: the basis must not install.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nonFinite := *gb
+		nonFinite.G = slices.Clone(gb.G)
+		nonFinite.G[len(gb.G)/2] = v
+		if err := ev.InstallBasis(st16, &nonFinite); err == nil {
+			t.Fatalf("basis with a %v coefficient installed", v)
+		}
+	}
 	if err := ev.InstallBasis(st16, gb); err != nil {
 		t.Fatalf("matching basis rejected: %v", err)
 	}

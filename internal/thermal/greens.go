@@ -17,14 +17,21 @@ package thermal
 // the decomposition is exact up to solver tolerance for every power map
 // built from the same source rectangles.
 //
-// A GreensBasis stores the B response fields cell-major — G[i*B + b] is
-// source b's response at global cell i — so serving a query is one fused
-// GEMV over blocks per cell: O(cells × B) with perfect streaming access,
-// instead of a full MG-preconditioned CG solve. The GEMV runs on the
-// fixed-chunk machinery of parallel.go with a fixed per-cell accumulation
-// order (four partial accumulators combined in a fixed tree, then a
-// sequential tail), so results are bitwise-identical at any Workers
-// setting — the same determinism contract every solver kernel carries.
+// A GreensBasis stores the B response fields column-major — G[b*n + i]
+// is source b's response at global cell i, n = Cells() — so each unit
+// response is contiguous and serving a query is one GEMV that streams
+// only the columns whose power coefficient is non-zero: O(cells × K) for
+// K powered sources, instead of a full MG-preconditioned CG solve. The
+// GEMV runs on the fixed-chunk machinery of parallel.go with a fixed
+// per-cell accumulation order (four lane accumulators combined in a
+// fixed tree, then a sequential tail), so results are bitwise-identical
+// at any Workers setting — the same determinism contract every solver
+// kernel carries. Skipping a zero coefficient is exact: a lane
+// accumulator starts at +0 and a sum of IEEE values reaches −0 only from
+// two −0 operands, so it never holds −0, and adding the ±0 product of a
+// finite coefficient and a zero power leaves it unchanged bit for bit.
+// (The loaders reject non-finite coefficients, which would turn 0 into
+// NaN.)
 //
 // Basis construction is one wide multi-RHS solve per bounded-width chunk
 // of columns (the batch scratch is ~6·n·k floats, so an unbounded-width
@@ -36,6 +43,7 @@ package thermal
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/geom"
@@ -70,8 +78,9 @@ type GreensBasis struct {
 	Ambient float64
 	// Names records each column's source name, in column order.
 	Names []string
-	// G holds the response fields cell-major: G[i*B + b] is column b's
-	// temperature response (°C per watt) at global cell i.
+	// G holds the response fields column-major: G[b*Cells() + i] is
+	// column b's temperature response (°C per watt) at global cell i, so
+	// each column is one contiguous field. Every coefficient is finite.
 	G []float64
 }
 
@@ -147,26 +156,23 @@ func (s *Solver) BuildGreensBasis(ctx context.Context, sources []UnitSource) (*G
 }
 
 // solveUnitChunk solves G·x = e_b for one contiguous chunk of sources
-// and scatters the solutions into gb's cell-major store at column offset
-// colBase. Right-hand sides carry no ambient term and iterates cold-start
-// at zero (the response-field formulation above), so it assembles the
-// batch directly instead of going through SteadyStateBatch.
+// and copies each solution into its column of gb's column-major store,
+// starting at column colBase. Right-hand sides carry no ambient term and
+// iterates cold-start at zero (the response-field formulation above), so
+// it assembles the batch directly instead of going through
+// SteadyStateBatch.
 func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, gb *GreensBasis, colBase int) error {
 	k := len(sources)
-	B := gb.B
 	if k == 1 {
 		// One column: the plain CG path, like SteadyStateBatch's k==1
-		// short-circuit.
+		// short-circuit, iterating in place in the basis column (still
+		// zero, the cold start).
 		b := make([]float64, s.n)
 		if err := s.unitRHS(sources[0], b); err != nil {
 			return err
 		}
-		x := make([]float64, s.n)
-		if _, err := s.cg(ctx, b, x, 0, SolveOpts{}); err != nil {
+		if _, err := s.cg(ctx, b, gb.column(colBase), 0, SolveOpts{}); err != nil {
 			return fmt.Errorf("thermal: greens column %q: %w", sources[0].Name, err)
-		}
-		for i, v := range x {
-			gb.G[i*B+colBase] = v
 		}
 		return nil
 	}
@@ -218,46 +224,126 @@ func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, gb *G
 		if res.Errs[j] != nil {
 			return fmt.Errorf("thermal: greens column %q: %w", src.Name, res.Errs[j])
 		}
-		for i := 0; i < s.n; i++ {
-			gb.G[i*B+colBase+j] = bs.xvec[i*k+j]
+		col := gb.column(colBase + j)
+		for i := range col {
+			col[i] = bs.xvec[i*k+j]
 		}
 	}
 	return nil
 }
 
-// greensSpan is the fused superposition GEMV over global cells [lo, hi):
-// out[i-lo] = Ambient + Σ_b G[i·B+b]·p[b]. Each output cell is an
-// independent dot product with a fixed accumulation order — four partial
-// accumulators over exact-length windows, combined in a fixed tree, then
-// a sequential tail — so the result is bitwise-identical at any Workers
-// setting and any chunk schedule. The parallel-threshold decision prices
-// the actual work ((hi-lo)·B multiply-adds, scaled to stencil-cell
-// units) so small queries stay inline.
-func (s *Solver) greensSpan(gb *GreensBasis, p []float64, lo, hi int, out []float64) {
-	B := gb.B
+// column returns basis column b, one contiguous field of Cells() cells.
+func (gb *GreensBasis) column(b int) []float64 {
+	n := gb.Cells()
+	return gb.G[b*n : (b+1)*n : (b+1)*n]
+}
+
+// greensTile is the cell width of one GEMV tile: the four lane
+// accumulators of a tile (4 × 512 × 8 B = 16 KiB) stay in L1 while the
+// tile's slice of every powered column streams through them once.
+const greensTile = 512
+
+// greensTerms is one query's non-zero power coefficients grouped by the
+// accumulator they feed in the per-cell dot product
+// Σ_b G_b[i]·p[b]: lane l < 4 takes the columns j < B&^3 with
+// j mod 4 == l, lane 4 (the tail) the columns j ≥ B&^3, each lane in
+// increasing j. Lane l spans col[off[l]:off[l+1]], coef[k] = p[col[k]].
+type greensTerms struct {
+	col  []int
+	coef []float64
+	off  [6]int
+}
+
+// newGreensTerms drops p's zero coefficients (+0 and −0) and groups the
+// rest by lane.
+func newGreensTerms(p []float64) greensTerms {
+	B := len(p)
+	B4 := B &^ 3
+	t := greensTerms{col: make([]int, 0, B), coef: make([]float64, 0, B)}
+	add := func(j int) {
+		if p[j] != 0 {
+			t.col = append(t.col, j)
+			t.coef = append(t.coef, p[j])
+		}
+	}
+	for l := 0; l < 4; l++ {
+		t.off[l] = len(t.col)
+		for j := l; j < B4; j += 4 {
+			add(j)
+		}
+	}
+	t.off[4] = len(t.col)
+	for j := B4; j < B; j++ {
+		add(j)
+	}
+	t.off[5] = len(t.col)
+	return t
+}
+
+// greensGEMV is the superposition GEMV over global cells [lo, hi):
+// out[i-lo] = Ambient + Σ_b G_b[i]·p[b], reading only the columns whose
+// coefficient is non-zero. Per cell the arithmetic is a fixed sequence:
+// four lane accumulators, each summing its columns' products in
+// increasing column order from +0, combined as (a0+a1)+(a2+a3), then the
+// tail products added in order, then the ambient. Cells are walked in
+// greensTile tiles with the accumulators kept per tile, so each column
+// is read once per tile as a contiguous run. The result is
+// bitwise-identical at any Workers setting and any chunk schedule, and,
+// because zero terms are exact no-ops (see the file comment), to the
+// same sequence with every zero term included. The parallel-threshold
+// decision prices the actual work ((hi-lo)·K multiply-adds for K powered
+// columns, scaled to stencil-cell units) so small queries stay inline.
+func (s *Solver) greensGEMV(gb *GreensBasis, p []float64, lo, hi int, out []float64) {
+	t := newGreensTerms(p[:gb.B])
+	n := gb.Cells()
 	amb := gb.Ambient
-	pp := p[:B:B]
 	cells := hi - lo
-	// One stencil cell is ~10 flops; one GEMV cell is 2·B. Convert so
+	// One stencil cell is ~10 flops; one GEMV cell is 2·K. Convert so
 	// runSpan's cell-count threshold prices comparable arithmetic.
-	work := cells * (B/5 + 1)
+	work := cells * (len(t.col)/5 + 1)
 	s.runSpan(cells, chunkCells, work, func(clo, chi int) {
-		for i := clo; i < chi; i++ {
-			base := (lo + i) * B
-			row := gb.G[base : base+B : base+B]
-			var a0, a1, a2, a3 float64
-			j := 0
-			for ; j+4 <= B; j += 4 {
-				a0 += row[j] * pp[j]
-				a1 += row[j+1] * pp[j+1]
-				a2 += row[j+2] * pp[j+2]
-				a3 += row[j+3] * pp[j+3]
+		var acc [4][greensTile]float64
+		for t0 := clo; t0 < chi; t0 += greensTile {
+			w := min(greensTile, chi-t0)
+			base := lo + t0
+			// col returns the tile's cells of the k-th powered column.
+			col := func(k int) []float64 {
+				o := t.col[k]*n + base
+				return gb.G[o : o+w : o+w]
 			}
-			acc := (a0 + a1) + (a2 + a3)
-			for ; j < B; j++ {
-				acc += row[j] * pp[j]
+			for l := 0; l < 4; l++ {
+				a := acc[l][:w]
+				clear(a)
+				k, end := t.off[l], t.off[l+1]
+				for ; k+4 <= end; k += 4 {
+					g0, g1, g2, g3 := col(k)[:len(a)], col(k + 1)[:len(a)], col(k + 2)[:len(a)], col(k + 3)[:len(a)]
+					c0, c1, c2, c3 := t.coef[k], t.coef[k+1], t.coef[k+2], t.coef[k+3]
+					for i := range a {
+						a[i] = (((a[i] + g0[i]*c0) + g1[i]*c1) + g2[i]*c2) + g3[i]*c3
+					}
+				}
+				for ; k < end; k++ {
+					g, c := col(k)[:len(a)], t.coef[k]
+					for i := range a {
+						a[i] += g[i] * c
+					}
+				}
 			}
-			out[i] = amb + acc
+			a0 := acc[0][:w]
+			a1, a2, a3 := acc[1][:len(a0)], acc[2][:len(a0)], acc[3][:len(a0)]
+			for i := range a0 {
+				a0[i] = (a0[i] + a1[i]) + (a2[i] + a3[i])
+			}
+			for k := t.off[4]; k < t.off[5]; k++ {
+				g, c := col(k)[:len(a0)], t.coef[k]
+				for i := range a0 {
+					a0[i] += g[i] * c
+				}
+			}
+			o := out[t0 : t0+len(a0)]
+			for i := range o {
+				o[i] = amb + a0[i]
+			}
 		}
 	})
 }
@@ -274,7 +360,7 @@ func (s *Solver) GreensApply(gb *GreensBasis, p []float64, x []float64) error {
 	if len(x) != s.n {
 		return fmt.Errorf("thermal: greens output has %d cells, want %d", len(x), s.n)
 	}
-	s.greensSpan(gb, p, 0, s.n, x)
+	s.greensGEMV(gb, p, 0, s.n, x)
 	return nil
 }
 
@@ -295,7 +381,7 @@ func (s *Solver) GreensApplyLayer(gb *GreensBasis, p []float64, li int, out []fl
 	if len(out) != s.nPerLayer {
 		return fmt.Errorf("thermal: greens layer output has %d cells, want %d", len(out), s.nPerLayer)
 	}
-	s.greensSpan(gb, p, li*s.nPerLayer, (li+1)*s.nPerLayer, out)
+	s.greensGEMV(gb, p, li*s.nPerLayer, (li+1)*s.nPerLayer, out)
 	return nil
 }
 
@@ -347,9 +433,11 @@ func EncodeGreensBasis(e *ckpt.Enc, gb *GreensBasis) {
 	e.F64s(gb.G)
 }
 
-// DecodeGreensBasis reads EncodeGreensBasis's layout back, validating
-// internal consistency (column count, coefficient count) before any of
-// it is used. Whether the basis matches the *current* stack spec is the
+// DecodeGreensBasis reads EncodeGreensBasis's layout back and validates
+// it (Validate) before any of it is used. The header's shape is checked
+// against the bytes left before anything is allocated from it, so a
+// corrupt or hostile header costs at most a small multiple of the input
+// size. Whether the basis matches the *current* stack spec is the
 // caller's check — the content key lives with the persistence layer.
 func DecodeGreensBasis(d *ckpt.Dec) (*GreensBasis, error) {
 	gb := &GreensBasis{
@@ -365,6 +453,25 @@ func DecodeGreensBasis(d *ckpt.Dec) (*GreensBasis, error) {
 	if gb.Rows < 1 || gb.Cols < 1 || gb.Layers < 1 || gb.B < 1 {
 		return nil, fmt.Errorf("thermal: greens basis shaped %dx%dx%d with %d columns", gb.Rows, gb.Cols, gb.Layers, gb.B)
 	}
+	// Each name carries a 4-byte length and each coefficient 8 bytes;
+	// the running product stays below the byte count, so it cannot
+	// overflow.
+	rem := d.Remaining()
+	tooBig := gb.B > rem/4
+	if !tooBig {
+		avail, need := (rem-4*gb.B)/8, 1
+		for _, dim := range []int{gb.Rows, gb.Cols, gb.Layers, gb.B} {
+			if dim > avail/need {
+				tooBig = true
+				break
+			}
+			need *= dim
+		}
+	}
+	if tooBig {
+		return nil, fmt.Errorf("thermal: greens basis shaped %dx%dx%d with %d columns does not fit the %d bytes left",
+			gb.Rows, gb.Cols, gb.Layers, gb.B, rem)
+	}
 	gb.Names = make([]string, gb.B)
 	for i := range gb.Names {
 		gb.Names[i] = d.Str()
@@ -373,8 +480,34 @@ func DecodeGreensBasis(d *ckpt.Dec) (*GreensBasis, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if len(gb.G) != gb.Cells()*gb.B {
-		return nil, fmt.Errorf("thermal: greens basis has %d coefficients, want %d", len(gb.G), gb.Cells()*gb.B)
+	if err := gb.Validate(); err != nil {
+		return nil, err
 	}
 	return gb, nil
+}
+
+// Validate checks that the basis is internally consistent — a positive
+// shape, one name per column, Cells()·B coefficients — and that the
+// ambient and every coefficient are finite, the condition under which
+// the GEMV's skipping of zero-power columns is exact. Every basis that
+// arrives from outside the process must pass it before it serves.
+func (gb *GreensBasis) Validate() error {
+	if gb.Rows < 1 || gb.Cols < 1 || gb.Layers < 1 || gb.B < 1 {
+		return fmt.Errorf("thermal: greens basis shaped %dx%dx%d with %d columns", gb.Rows, gb.Cols, gb.Layers, gb.B)
+	}
+	if len(gb.Names) != gb.B {
+		return fmt.Errorf("thermal: greens basis has %d names for %d columns", len(gb.Names), gb.B)
+	}
+	if len(gb.G) != gb.Cells()*gb.B {
+		return fmt.Errorf("thermal: greens basis has %d coefficients, want %d", len(gb.G), gb.Cells()*gb.B)
+	}
+	if math.IsNaN(gb.Ambient) || math.IsInf(gb.Ambient, 0) {
+		return fmt.Errorf("thermal: greens basis ambient %v is not finite", gb.Ambient)
+	}
+	for i, v := range gb.G {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("thermal: greens basis coefficient %d (column %d) is %v", i, i/gb.Cells(), v)
+		}
+	}
+	return nil
 }

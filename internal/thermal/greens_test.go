@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
@@ -76,6 +79,39 @@ func TestGreensBasisMatchesSteadyState(t *testing.T) {
 		for c := range zero[li] {
 			if zero[li][c] != m.Ambient {
 				t.Fatalf("zero power: layer %d cell %d = %v, want exactly ambient %v", li, c, zero[li][c], m.Ambient)
+			}
+		}
+	}
+}
+
+// A one-column build chunk takes the plain CG path and solves straight
+// into its basis column; the column must still be the unit response.
+func TestGreensBasisSingleColumnChunk(t *testing.T) {
+	m := slabModel(12, 12, 4, 100e-6, 120, 25000)
+	s, err := NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.DefaultPrecond = PrecondMG
+	src := greensTestSources(m, 1, 1)[0]
+	gb, err := s.BuildGreensBasis(context.Background(), []UnitSource{src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := m.NewPowerMap()
+	pm.AddBlock(m.Grid, src.Layer, src.Rect, 2.5)
+	want, err := s.SteadyState(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.GreensField(gb, []float64{2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := range want {
+		for c := range want[li] {
+			if d := math.Abs(got[li][c] - want[li][c]); d > 1e-5 {
+				t.Fatalf("layer %d cell %d: basis %.9f vs solve %.9f (|Δ| %.3g)", li, c, got[li][c], want[li][c], d)
 			}
 		}
 	}
@@ -351,5 +387,222 @@ func TestBatchDeflationCountsOnlyEnteredColumns(t *testing.T) {
 	if res.Deflated != wantDeflated {
 		t.Fatalf("Deflated = %d, want %d (iters %v; the hook-rejected column must not count)",
 			res.Deflated, wantDeflated, res.Iters)
+	}
+}
+
+// greensDotCellMajor is the GEMV as it ran when the basis was stored
+// cell-major: a dense per-cell dot over all B columns of a cell-major
+// copy of G — four lane accumulators, a fixed combine, a sequential
+// tail, zero coefficients included. It is the reference the
+// zero-skipping column-major kernel must reproduce bit for bit.
+func greensDotCellMajor(gb *GreensBasis, p []float64) []float64 {
+	n, B := gb.Cells(), gb.B
+	cm := make([]float64, n*B)
+	for b := 0; b < B; b++ {
+		for i := 0; i < n; i++ {
+			cm[i*B+b] = gb.G[b*n+i]
+		}
+	}
+	out := make([]float64, n)
+	for i := range out {
+		row := cm[i*B : (i+1)*B]
+		var a0, a1, a2, a3 float64
+		j := 0
+		for ; j+4 <= B; j += 4 {
+			a0 += row[j] * p[j]
+			a1 += row[j+1] * p[j+1]
+			a2 += row[j+2] * p[j+2]
+			a3 += row[j+3] * p[j+3]
+		}
+		acc := (a0 + a1) + (a2 + a3)
+		for ; j < B; j++ {
+			acc += row[j] * p[j]
+		}
+		out[i] = gb.Ambient + acc
+	}
+	return out
+}
+
+// syntheticBasis fills a basis shaped for m with B random columns whose
+// entries span ten decades, carry both signs and include exact ±0, so
+// any change in the order of the per-cell arithmetic shows up in the
+// bits.
+func syntheticBasis(m *Model, B int, rng *rand.Rand) *GreensBasis {
+	gb := &GreensBasis{Rows: m.Grid.Rows, Cols: m.Grid.Cols, Layers: len(m.Layers), B: B, Ambient: m.Ambient}
+	for b := 0; b < B; b++ {
+		gb.Names = append(gb.Names, fmt.Sprintf("c%d", b))
+	}
+	gb.G = make([]float64, gb.Cells()*B)
+	for i := range gb.G {
+		switch r := rng.Intn(32); {
+		case r == 0:
+			gb.G[i] = 0
+		case r == 1:
+			gb.G[i] = math.Copysign(0, -1)
+		default:
+			gb.G[i] = (rng.Float64() - 0.3) * math.Pow(10, float64(rng.Intn(11)-8))
+		}
+	}
+	return gb
+}
+
+// The column-major kernel skips zero-power columns; it must match the
+// dense cell-major dot bit for bit on every coefficient shape — dense,
+// serve-shaped sparse (a powered prefix, scattered singles, −0 entries),
+// all zero (exactly ambient), tail only — at B of 1, 3, 4, 5 and 41,
+// through every public entry point, at Workers 1 and 4. The 64×64×8
+// model spans several GEMV chunks so the pooled path engages; the odd
+// 23×21×5 one puts tile and layer boundaries out of step.
+func TestGreensKernelMatchesCellMajorDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	negZero := math.Copysign(0, -1)
+	// A slice, not a map, so the rng draws are the same on every run.
+	shapes := []struct {
+		name string
+		coef func(j, B int) float64
+	}{
+		{"dense", func(j, B int) float64 { return (rng.Float64() - 0.2) * 4 }},
+		{"serve", func(j, B int) float64 {
+			switch {
+			case j < B*9/20 || j%11 == 7:
+				return rng.Float64() * 2
+			case j%3 == 0:
+				return negZero
+			}
+			return 0
+		}},
+		{"zero", func(j, B int) float64 {
+			if j%2 == 1 {
+				return negZero
+			}
+			return 0
+		}},
+		{"tail", func(j, B int) float64 {
+			if j >= B&^3 {
+				return rng.Float64() + 0.5
+			}
+			return 0
+		}},
+	}
+	for _, dims := range [][3]int{{64, 64, 8}, {23, 21, 5}} {
+		m := slabModel(dims[0], dims[1], dims[2], 100e-6, 120, 25000)
+		s, err := NewSolver(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := m.Grid.NumCells()
+		for _, B := range []int{1, 3, 4, 5, 41} {
+			gb := syntheticBasis(m, B, rng)
+			for _, shape := range shapes {
+				name := shape.name
+				p := make([]float64, B)
+				for j := range p {
+					p[j] = shape.coef(j, B)
+				}
+				want := greensDotCellMajor(gb, p)
+				if name == "zero" {
+					for i, v := range want {
+						if v != gb.Ambient {
+							t.Fatalf("reference: zero power gave %v at cell %d, want ambient", v, i)
+						}
+					}
+				}
+				check := func(what string, workers, off int, got []float64) {
+					t.Helper()
+					for i, v := range got {
+						if math.Float64bits(v) != math.Float64bits(want[off+i]) {
+							t.Fatalf("%dx%dx%d B=%d %s workers=%d %s cell %d: %x != cell-major %x",
+								dims[0], dims[1], dims[2], B, name, workers, what, off+i,
+								math.Float64bits(v), math.Float64bits(want[off+i]))
+						}
+					}
+				}
+				for _, workers := range []int{1, 4} {
+					ps := s.Clone()
+					ps.Workers = workers
+					full := make([]float64, gb.Cells())
+					if err := ps.GreensApply(gb, p, full); err != nil {
+						t.Fatal(err)
+					}
+					check("GreensApply", workers, 0, full)
+					layer := make([]float64, nl)
+					for li := 0; li < gb.Layers; li++ {
+						if err := ps.GreensApplyLayer(gb, p, li, layer); err != nil {
+							t.Fatal(err)
+						}
+						check(fmt.Sprintf("GreensApplyLayer(%d)", li), workers, li*nl, layer)
+					}
+					top := gb.Layers - 1
+					field, err := ps.GreensLayers(gb, p, []int{top, 0})
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("GreensLayers top", workers, top*nl, field[top])
+					check("GreensLayers 0", workers, 0, field[0])
+					ps.Close()
+				}
+			}
+		}
+	}
+}
+
+// A basis header must be checked against the payload before anything
+// is allocated from it: a 24-byte input claiming 2^20 columns used to
+// allocate a 16.8 MB name table before failing, and one claiming
+// 2^32−1 columns or a huge grid must fail just as cheaply.
+func TestDecodeGreensBasisBoundsAllocation(t *testing.T) {
+	header := func(rows, cols, layers, B uint32) []byte {
+		var e ckpt.Enc
+		e.U32(rows)
+		e.U32(cols)
+		e.U32(layers)
+		e.U32(B)
+		e.F64(45)
+		return e.Data()
+	}
+	for _, raw := range [][]byte{
+		header(1, 1, 1, 1<<20),
+		header(1, 1, 1, math.MaxUint32),
+		header(math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32),
+		append(header(1<<16, 1<<16, 1<<10, 1), make([]byte, 64)...),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeGreensBasis(ckpt.NewDec(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("header %x decoded without error", raw[:16])
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("header %x: decode allocated %d bytes before failing", raw[:16], got)
+		}
+	}
+}
+
+// Decoding must reject a non-finite ambient or coefficient: the GEMV
+// skips zero-power columns, which is exact only for finite entries.
+func TestDecodeGreensBasisRejectsNonFinite(t *testing.T) {
+	m := slabModel(4, 4, 2, 100e-6, 120, 25000)
+	gb := syntheticBasis(m, 3, rand.New(rand.NewSource(1)))
+	encode := func(gb *GreensBasis) []byte {
+		var e ckpt.Enc
+		EncodeGreensBasis(&e, gb)
+		return e.Data()
+	}
+	if _, err := DecodeGreensBasis(ckpt.NewDec(encode(gb))); err != nil {
+		t.Fatalf("finite basis rejected: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := *gb
+		bad.G = slices.Clone(gb.G)
+		bad.G[len(bad.G)-1] = v
+		if _, err := DecodeGreensBasis(ckpt.NewDec(encode(&bad))); err == nil {
+			t.Fatalf("basis with a %v coefficient decoded", v)
+		}
+		bad = *gb
+		bad.Ambient = v
+		if _, err := DecodeGreensBasis(ckpt.NewDec(encode(&bad))); err == nil {
+			t.Fatalf("basis with ambient %v decoded", v)
+		}
 	}
 }
